@@ -2,7 +2,7 @@ package repro.baseline
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
-import repro.core.{Cells, DistributedTopK, Measure, TraceStore}
+import repro.core.{Measure, TraceStore}
 
 /** Brute-force comparator (the paper's strawman in §3): score the query
   * against every entity and sort. Serves three roles: (1) the baseline
@@ -11,8 +11,10 @@ import repro.core.{Cells, DistributedTopK, Measure, TraceStore}
   */
 object BruteForce {
 
-  /** Distributed full scan: DataFrame (entity, degree) for every entity
+  /** Spark full scan: DataFrame (entity, degree) for every entity
     * with non-zero overlap with the query.
+    *
+    * @param levelCells DataFrame (entity, level, cell) — see [[repro.core.Cells.levelCells]]
     */
   def degreesDf(
       spark: SparkSession,
@@ -22,16 +24,34 @@ object BruteForce {
       sp: repro.spindex.SpIndex,
   ): DataFrame = {
     import spark.implicits._
-    val qCells: Array[Array[Long]] = {
-      val rows = levelCells
-        .filter($"entity" === qEntity)
-        .select("level", "cell")
-        .as[(Int, Long)]
-        .collect()
-      val byLevel = rows.groupBy(_._1)
-      Array.tabulate(sp.m)(li => byLevel.getOrElse(li + 1, Array.empty).map(_._2).sorted)
-    }
-    DistributedTopK.degrees(spark, levelCells, qEntity, qCells, measure, candidates = None)
+    val m = sp.m
+    val qRows = levelCells
+      .filter($"entity" === qEntity)
+      .select("level", "cell")
+      .as[(Int, Long)]
+      .collect()
+    require(qRows.nonEmpty, s"query entity $qEntity has no trace")
+    val byLevel = qRows.groupBy(_._1)
+    val qCells = Array.tabulate(m)(li => byLevel.getOrElse(li + 1, Array.empty).map(_._2))
+    val qSizes = qCells.map(_.length)
+    val bcQ = spark.sparkContext.broadcast(qCells.map(_.toSet))
+    val bcM = spark.sparkContext.broadcast(measure)
+    levelCells
+      .select("entity", "level", "cell")
+      .as[(Long, Int, Long)]
+      .filter(_._1 != qEntity)
+      .groupByKey(_._1)
+      .mapGroups { (e, rows) =>
+        val ov = new Array[Int](m)
+        val sb = new Array[Int](m)
+        rows.foreach { case (_, l, c) =>
+          sb(l - 1) += 1
+          if (bcQ.value(l - 1).contains(c)) ov(l - 1) += 1
+        }
+        (e, bcM.value.degree(ov, qSizes, sb))
+      }
+      .filter(_._2 > 0.0)
+      .toDF("entity", "degree")
   }
 
   /** Driver full scan over a TraceStore: all (entity, degree) pairs sorted

@@ -160,12 +160,6 @@ final class MinSigTree(val sp: SpIndex, val nh: Int) {
     rec(root, Nil)
     out.toSeq
   }
-
-  /** The index as a DataFrame, for inspection and distributed planning. */
-  def nodesDataFrame(spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    toRows.toDF("path", "level", "routing", "sigval", "nentities")
-  }
 }
 
 object MinSigTree {

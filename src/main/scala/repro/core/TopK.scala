@@ -21,9 +21,9 @@ final case class TopKResult(hits: Seq[(Long, Double)], checked: Int, nodesVisite
     math.max(0, checked - hits.size).toDouble / nEntities
 }
 
-/** Per-query state shared by the driver and distributed searchers: the
-  * query's per-level cells, their per-level hashes, and the mask-based
-  * partial-pruned-set upper bound of Theorem 4.1 / §4.1.
+/** Per-query state of the search: the query's per-level cells, their
+  * per-level hashes, and the mask-based partial-pruned-set upper bound of
+  * Theorem 4.1 / §4.1.
   *
   * Soundness of the pruning rule (see also Theorems 3.1/3.2): at a node N
   * of level `j` with routing index `r` and stored value `V = min over
@@ -122,7 +122,9 @@ final class TopKSearcher(
     val measure: Measure,
 ) {
 
-  /** Exact top-k associated entities to `q` (q excluded from results). */
+  /** Exact top-k associated entities to `q` (q excluded from results):
+    * the same pairs, in the same order, as [[repro.baseline.BruteForce.topK]].
+    */
   def search(q: Long, k: Int): TopKResult = {
     require(store.contains(q), s"query entity $q has no trace")
     require(k >= 1)
@@ -148,8 +150,9 @@ final class TopKSearcher(
       val cand = cands.poll()
       visited += 1
       // Early termination (Lines 4-5): the k-th best exact degree already
-      // dominates every remaining upper bound.
-      if (result.size == k && kthDegree >= cand.ub)
+      // beats every remaining upper bound. A bound equal to it may still
+      // hide a tied entity with a smaller id, which ranks first.
+      if (kthDegree > cand.ub)
         return finish(result, checked, visited)
       val node = cand.node
       if (node.isLeaf) {
@@ -168,7 +171,7 @@ final class TopKSearcher(
         node.children.valuesIterator.foreach { child =>
           val masks = ctx.pruneMasks(cand.masks, child, tree.pruneCoords)
           val ub = math.min(cand.ub, ctx.upperBound(masks))
-          if (result.size < k || ub > kthDegree)
+          if (ub >= kthDegree)
             cands.add(new Cand(child, masks, ub))
         }
       }

@@ -97,6 +97,28 @@ class BaselineSpec extends SparkSpec {
       "locality clustering must ignore time for unmined cells")
   }
 
+  test("degreesDf matches the driver brute force for all entities") {
+    import spark.implicits._
+    val sp = SpIndex.build(16, 3, 2.0, 1.0)
+    val cells = TraceGen.syn(spark, 16, 60, repro.mobility.ImParams(horizon = 40), 401)
+    val store = TraceStore.fromCells(spark, cells, sp)
+    val levelCells = Cells.levelCells(spark, cells, sp)
+    val d = AdmMeasure(sp.m, 1, 1)
+    val q = 0L
+    val got = BruteForce.degreesDf(spark, levelCells, q, d, sp).as[(Long, Double)].collect().toMap
+    val expected = BruteForce.rankAll(store, d, q).filter(_._2 > 0).toMap
+    assert(got.keySet == expected.keySet)
+    got.foreach { case (e, deg) => assert(math.abs(deg - expected(e)) < 1e-9, s"entity $e") }
+  }
+
+  test("degreesDf for an absent query entity throws") {
+    val sp = SpIndex.build(16, 3, 2.0, 1.0)
+    val cells = TraceGen.syn(spark, 16, 10, repro.mobility.ImParams(horizon = 40), 406)
+    val levelCells = Cells.levelCells(spark, cells, sp)
+    intercept[IllegalArgumentException](
+      BruteForce.degreesDf(spark, levelCells, 888L, AdmMeasure(sp.m, 1, 1), sp))
+  }
+
   test("rankAll is a total ranking sorted by degree desc") {
     val (_, store, _, d) = setup(30, 508)
     val ranked = BruteForce.rankAll(store, d, 0L)

@@ -151,14 +151,6 @@ class MinSigTreeSpec extends SparkSpec {
     assert(sparkTree.toRows.toSet == driverTree.toRows.toSet)
   }
 
-  test("nodesDataFrame exposes one row per node") {
-    import spark.implicits._
-    val (_, _, _, tree) = buildRandom(30, 4, 30)
-    val df = tree.nodesDataFrame(spark)
-    assert(df.count() == tree.nodeCount)
-    assert(df.columns.toSeq == Seq("path", "level", "routing", "sigval", "nentities"))
-  }
-
   test("bulk update: re-inserting all entities with fresh traces keeps the tree consistent") {
     val (sp, traces, h, tree) = buildRandom(40, 8, 31)
     traces.keys.foreach { e =>

@@ -23,13 +23,8 @@ class SynExactnessSpec extends SparkSpec {
 
   test("top-k degrees match brute force on SYN companion data (nh=64)") {
     val (_, store, searcher, d, _) = setup(400, 64, 901)
-    for (q <- Seq(0L, 8L, 17L, 100L, 333L); k <- Seq(1, 10, 50)) {
-      val expected = BruteForce.topK(store, d, q, k).map(_._2)
-      val got = searcher.search(q, k).hits.map(_._2)
-      got.zip(expected).foreach { case (a, b) =>
-        assert(math.abs(a - b) < 1e-9, s"q=$q k=$k")
-      }
-    }
+    for (q <- Seq(0L, 8L, 17L, 100L, 333L); k <- Seq(1, 10, 50))
+      assert(searcher.search(q, k).hits == BruteForce.topK(store, d, q, k), s"q=$q k=$k")
   }
 
   test("top-1 answers on SYN are companions with high degrees") {
@@ -61,20 +56,6 @@ class SynExactnessSpec extends SparkSpec {
     val c8 = queries.map(q => s8.search(q, 1).checked).sum
     val c256 = queries.map(q => s256.search(q, 1).checked).sum
     assert(c256 <= c8, s"nh=256 checked $c256 > nh=8 checked $c8")
-  }
-
-  test("distributed search agrees with driver search on SYN data") {
-    val (sp, store, searcher, d, cells) = setup(300, 64, 905)
-    val levelCells = Cells.levelCells(spark, cells, sp).cache()
-    for (q <- Seq(0L, 42L, 111L)) {
-      val driver = searcher.search(q, 5).hits.map(_._2).filter(_ > 0)
-      val dist = DistributedTopK
-        .search(spark, searcher.tree, levelCells, searcher.hasher, d, q, 5)
-        .hits.map(_._2)
-      assert(dist.size == driver.size, s"q=$q")
-      dist.zip(driver).foreach { case (a, b) => assert(math.abs(a - b) < 1e-9, s"q=$q") }
-    }
-    levelCells.unpersist()
   }
 
   test("every SYN entity is indexed and searchable") {

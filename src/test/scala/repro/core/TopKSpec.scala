@@ -66,14 +66,14 @@ class TopKSpec extends SparkSpec {
     (store, new TopKSearcher(tree, store, h, d), d)
   }
 
-  // Exactness: the top-k *degree multiset* must equal brute force's (entity
-  // sets may differ under ties; any tie-respecting answer is a valid top-k).
+  // Exactness: the search must return brute force's (entity, degree)
+  // sequence, tie order (degree desc, then entity id asc) included.
   private def assertExact(store: TraceStore, searcher: TopKSearcher, d: Measure, q: Long, k: Int): Unit = {
-    val expected = BruteForce.topK(store, d, q, k).map(_._2)
-    val got = searcher.search(q, k)
-    assert(got.hits.size == expected.size, s"q=$q k=$k sizes")
-    got.hits.map(_._2).zip(expected).zipWithIndex.foreach { case ((g, e), i) =>
-      assert(math.abs(g - e) < 1e-9, s"q=$q k=$k rank $i: got $g expected $e")
+    val expected = BruteForce.topK(store, d, q, k)
+    val got = searcher.search(q, k).hits
+    assert(got.size == expected.size, s"q=$q k=$k sizes")
+    got.zip(expected).zipWithIndex.foreach { case ((g, e), i) =>
+      assert(g == e, s"q=$q k=$k rank $i: got $g expected $e")
     }
   }
 
@@ -125,6 +125,18 @@ class TopKSpec extends SparkSpec {
     val r = searcher.search(0L, 50)
     assert(r.hits.size == 9)
     assert(r.hits.map(_._2).sorted.reverse == r.hits.map(_._2))
+  }
+
+  test("k at least the number of positive-degree entities keeps brute force's tie order") {
+    // Zero-degree entities fill the tail of the answer in id order; the
+    // search must not stop on a bound equal to the k-th degree.
+    val (store, searcher, d) = randomSetup(150, 64, 315, sp => AdmMeasure(sp.m, 1, 1), side = 32, horizon = 20)
+    for (q <- store.entities.toSeq.sorted.take(8)) {
+      val positive = BruteForce.rankAll(store, d, q).count(_._2 > 0)
+      assert(positive + 10 < store.entities.size - 1, s"q=$q has no zero-degree tail")
+      for (k <- Seq(positive, positive + 1, positive + 10) if k >= 1)
+        assertExact(store, searcher, d, q, k)
+    }
   }
 
   test("query entity is never part of its own answer") {

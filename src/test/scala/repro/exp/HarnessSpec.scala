@@ -3,7 +3,7 @@ package repro.exp
 import repro.SparkSpec
 import repro.core.{AdmMeasure, TopKSearcher}
 
-/** The shared experiment harness used by every bench suite and job. */
+/** The shared experiment harness used by every bench suite. */
 class HarnessSpec extends SparkSpec {
 
   test("build produces a consistent pipeline end to end") {
