@@ -24,12 +24,17 @@ trait Measure extends Serializable {
 final case class AdmMeasure(m: Int, u: Double = 1.0, v: Double = 1.0) extends Measure {
   private val lw: Array[Double] = Array.tabulate(m)(l => math.pow(l + 1.0, u))
   private val max: Double = lw.map(_ * math.pow(0.5, v)).sum
+  // Math.pow(x, 1.0) is x by specification, so skipping it changes no bit.
+  private val linear: Boolean = v == 1.0
 
   def degree(ov: Array[Int], sa: Array[Int], sb: Array[Int]): Double = {
     var s = 0.0
     var l = 0
     while (l < m) {
-      if (ov(l) > 0) s += lw(l) * math.pow(ov(l).toDouble / (sa(l) + sb(l)), v)
+      if (ov(l) > 0) {
+        val r = ov(l).toDouble / (sa(l) + sb(l))
+        s += lw(l) * (if (linear) r else math.pow(r, v))
+      }
       l += 1
     }
     s / max

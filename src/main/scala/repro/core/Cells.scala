@@ -8,15 +8,20 @@ import repro.spindex.SpIndex
   *
   * A base ST-cell is `(t, loc)` with `loc` a base-unit Morton rank; a
   * level-`l` cell is `(t, unit)` with `unit` the level-`l` ancestor of some
-  * base unit. Cells are packed into a Long as `t << 24 | unit` (unit ids
-  * stay far below 2^24 at all reproduction scales).
+  * base unit. Cells are packed into a Long as `t << 24 | unit`; `encode`
+  * rejects `t < 0` and unit ids outside `[0, 2^24)`, which would corrupt
+  * the packing.
   */
 object Cells {
 
   val UnitBits = 24
   val UnitMask: Long = (1L << UnitBits) - 1
 
-  def encode(t: Int, unit: Int): Long = (t.toLong << UnitBits) | unit
+  def encode(t: Int, unit: Int): Long = {
+    if (t < 0 || unit < 0 || unit > UnitMask)
+      throw new IllegalArgumentException(s"cell (t=$t, unit=$unit) outside t >= 0, unit in [0, 2^$UnitBits)")
+    (t.toLong << UnitBits) | unit
+  }
   def timeOf(cell: Long): Int = (cell >>> UnitBits).toInt
   def unitOf(cell: Long): Int = (cell & UnitMask).toInt
 

@@ -91,10 +91,14 @@ final class MinSigTree(val sp: SpIndex, val nh: Int) {
   }
 
   /** Insert an entity given its flattened signature. Node signatures are
-    * tightened with `min` (bulk-update rule of §3.2.3).
+    * tightened with `min` (bulk-update rule of §3.2.3). Rejects a signature
+    * that is not `m × n_h` long, or that is all `Int.MaxValue` (the
+    * signature of an empty trace).
     */
   def insert(entity: Long, sig: Array[Int]): Unit = {
-    require(!entityPath.contains(entity), s"entity $entity already indexed")
+    checkSignature(entity, sig)
+    if (entityPath.contains(entity))
+      throw new IllegalArgumentException(s"entity $entity already indexed")
     val (ridx, rval) = Signatures.routing(sig, sp.m, nh)
     var node = root
     var l = 0
@@ -106,6 +110,15 @@ final class MinSigTree(val sp: SpIndex, val nh: Int) {
     }
     node.entities += entity
     entityPath(entity) = (ridx, rval)
+  }
+
+  private def checkSignature(entity: Long, sig: Array[Int]): Unit = {
+    if (sig.length != sp.m * nh)
+      throw new IllegalArgumentException(s"entity $entity: signature length ${sig.length}, expected ${sp.m * nh}")
+    var u = 0
+    while (u < sig.length && sig(u) == Int.MaxValue) u += 1
+    if (u == sig.length)
+      throw new IllegalArgumentException(s"entity $entity: empty trace (signature all Int.MaxValue)")
   }
 
   /** Number of signature coordinates used for pruning at query time. */
@@ -132,8 +145,11 @@ final class MinSigTree(val sp: SpIndex, val nh: Int) {
     }
   }
 
-  /** Re-index an entity after its trace changed (§3.2.3 steps 1–4). */
+  /** Re-index an entity after its trace changed (§3.2.3 steps 1–4). A
+    * rejected signature leaves the entity where it was.
+    */
   def update(entity: Long, newSig: Array[Int]): Unit = {
+    checkSignature(entity, newSig)
     if (entityPath.contains(entity)) remove(entity)
     insert(entity, newSig)
   }

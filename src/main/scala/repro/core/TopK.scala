@@ -22,8 +22,8 @@ final case class TopKResult(hits: Seq[(Long, Double)], checked: Int, nodesVisite
 }
 
 /** Per-query state of the search: the query's per-level cells, their
-  * per-level hashes, and the mask-based partial-pruned-set upper bound of
-  * Theorem 4.1 / §4.1.
+  * per-level hashes as sorted runs, and the mask-based partial-pruned-set
+  * upper bound of Theorem 4.1 / §4.1.
   *
   * Soundness of the pruning rule (see also Theorems 3.1/3.2): at a node N
   * of level `j` with routing index `r` and stored value `V = min over
@@ -38,6 +38,15 @@ final case class TopKResult(hits: Seq[(Long, Double)], checked: Int, nodesVisite
   * The artificial entity e_v of Theorem 4.1 then has per-level overlaps
   * equal to the surviving-cell counts, and
   * `UB_N = degree(ov = surv, sa = surv, sb = |seq_q|)`.
+  *
+  * Kernel. A mask is one `Array[Long]` of packed bits: bit `i` of words
+  * `wordOff(l-1) until wordOff(l)` is set while the query's `i`-th level-`l`
+  * cell survives. `runs(l-1)` holds one run per hash function `u`, the
+  * longs `(h_u^l(c_i) << 32) | i` over the query's level-`l` cells, sorted.
+  * The cells a coordinate `(u, V)` prunes are exactly the prefix of run `u`
+  * below `V << 32`, so a prune walks that prefix: its cost is the
+  * (cell, coordinate) pairs it prunes, not the surviving cells times the
+  * coordinates. A context is used by one search at a time.
   */
 final class QueryContext(
     val sp: SpIndex,
@@ -47,64 +56,119 @@ final class QueryContext(
 ) {
   val qSizes: Array[Int] = qLevel.map(_.length)
 
-  /** qHash(l-1)(cellIdx)(u) = h_u^l of the query's level-l cell. */
-  val qHash: Array[Array[Array[Int]]] =
-    Array.tabulate(sp.m) { li =>
-      qLevel(li).map { c =>
-        Array.tabulate(hasher.nh)(u => hasher.unit(u, li + 1, Cells.timeOf(c), Cells.unitOf(c)))
-      }
-    }
+  private val wordOff: Array[Int] = qSizes.scanLeft(0)((off, n) => off + (n + 63) / 64)
 
-  def freshMasks(): Array[Array[Boolean]] =
-    Array.tabulate(sp.m)(li => Array.fill(qLevel(li).length)(true))
+  /** Length of a mask in words: ⌈|q^l|/64⌉ summed over the levels. */
+  val words: Int = wordOff(sp.m)
 
-  /** Child masks after applying a node's pruned set: levels below the
-    * node's are shared (never modified deeper), levels ≥ are copied and
-    * pruned. A cell is pruned when ANY of the node's retained signature
-    * coordinates certifies absence (Theorem 3.2 over each coordinate);
-    * `coords` is the node's flattened (u, value) pair list.
-    */
-  def pruneMasks(parent: Array[Array[Boolean]], level: Int, coords: Array[Int]): Array[Array[Boolean]] = {
-    val out = new Array[Array[Boolean]](sp.m)
-    var li = 0
-    while (li < level - 1) { out(li) = parent(li); li += 1 }
-    while (li < sp.m) {
-      val src = parent(li)
-      val dst = new Array[Boolean](src.length)
-      var c = 0
-      while (c < src.length) {
-        var keep = src(c)
-        if (keep) {
-          val h = qHash(li)(c)
-          var i = 0
-          while (keep && i < coords.length) {
-            if (h(coords(i)) < coords(i + 1)) keep = false
-            i += 2
-          }
-        }
-        dst(c) = keep
-        c += 1
+  private val runs: Array[Array[Long]] = Array.tabulate(sp.m) { li =>
+    val cells = qLevel(li)
+    val n = cells.length
+    val run = new Array[Long](hasher.nh * n)
+    var i = 0
+    while (i < n) {
+      val t = Cells.timeOf(cells(i))
+      val unit = Cells.unitOf(cells(i))
+      var u = 0
+      while (u < hasher.nh) {
+        run(u * n + i) = (hasher.unit(u, li + 1, t, unit).toLong << 32) | i
+        u += 1
       }
-      out(li) = dst
-      li += 1
+      i += 1
     }
-    out
+    var u = 0
+    while (u < hasher.nh) { java.util.Arrays.sort(run, u * n, (u + 1) * n); u += 1 }
+    run
   }
 
-  /** Convenience overload pruning with a node's retained coordinates. */
-  def pruneMasks(parent: Array[Array[Boolean]], node: SigNode, topCoords: Int): Array[Array[Boolean]] =
-    pruneMasks(parent, node.level, node.topCoords(topCoords))
+  private val surv = new Array[Int](sp.m)
 
-  def upperBound(masks: Array[Array[Boolean]]): Double = {
-    val surv = new Array[Int](sp.m)
+  /** The root's mask: every query cell alive. */
+  def fullMask(): Array[Long] = {
+    val mask = new Array[Long](words)
     var li = 0
     while (li < sp.m) {
-      var c = 0
-      while (c < masks(li).length) { if (masks(li)(c)) surv(li) += 1; c += 1 }
+      var i = 0
+      while (i < qSizes(li)) { mask(wordOff(li) + (i >>> 6)) |= 1L << i; i += 1 }
       li += 1
     }
+    mask
+  }
+
+  /** Writes into `dst` the mask of a level-`level` node from its parent's
+    * mask: levels below the node's are copied, levels ≥ are pruned. A cell
+    * is pruned when ANY of the node's coordinates certifies absence
+    * (Theorem 3.2 over each coordinate); `coords` is the node's flattened
+    * (u, value) pair list. A level stops walking once none of its cells
+    * survive.
+    */
+  def prune(parent: Array[Long], dst: Array[Long], level: Int, coords: Array[Int]): Unit = {
+    System.arraycopy(parent, 0, dst, 0, words)
+    var li = level - 1
+    while (li < sp.m) {
+      val n = qSizes(li)
+      val off = wordOff(li)
+      val run = runs(li)
+      var alive = popCount(dst, li)
+      var i = 0
+      while (alive > 0 && i < coords.length) {
+        val limit = coords(i + 1).toLong << 32
+        var p = coords(i) * n
+        val end = p + n
+        while (p < end && run(p) < limit) {
+          val c = run(p).toInt
+          val w = off + (c >>> 6)
+          alive -= (dst(w) >>> c).toInt & 1
+          dst(w) &= ~(1L << c)
+          p += 1
+        }
+        i += 2
+      }
+      li += 1
+    }
+  }
+
+  /** Theorem 4.1's bound for a mask: the per-level surviving-cell counts
+    * as the artificial entity's overlaps and sizes.
+    */
+  def bound(mask: Array[Long]): Double = {
+    var li = 0
+    while (li < sp.m) { surv(li) = popCount(mask, li); li += 1 }
     measure.degree(surv, surv, qSizes)
   }
+
+  private def popCount(mask: Array[Long], li: Int): Int = {
+    var n = 0
+    var w = wordOff(li)
+    while (w < wordOff(li + 1)) { n += java.lang.Long.bitCount(mask(w)); w += 1 }
+    n
+  }
+
+  // Boolean-mask views of the same kernel, one Array[Boolean] per level,
+  // for callers that walk the tree from outside (bound audits).
+
+  def freshMasks(): Array[Array[Boolean]] = unpack(fullMask())
+
+  /** The mask of `node` from its parent's, pruned with its `topCoords`
+    * largest signature coordinates.
+    */
+  def pruneMasks(parent: Array[Array[Boolean]], node: SigNode, topCoords: Int): Array[Array[Boolean]] = {
+    val dst = new Array[Long](words)
+    prune(pack(parent), dst, node.level, node.topCoords(topCoords))
+    unpack(dst)
+  }
+
+  def upperBound(masks: Array[Array[Boolean]]): Double = bound(pack(masks))
+
+  private def pack(masks: Array[Array[Boolean]]): Array[Long] = {
+    val mask = new Array[Long](words)
+    for (li <- 0 until sp.m; i <- masks(li).indices if masks(li)(i))
+      mask(wordOff(li) + (i >>> 6)) |= 1L << i
+    mask
+  }
+
+  private def unpack(mask: Array[Long]): Array[Array[Boolean]] =
+    Array.tabulate(sp.m)(li => Array.tabulate(qSizes(li))(i => (mask(wordOff(li) + (i >>> 6)) & (1L << i)) != 0L))
 }
 
 object QueryContext {
@@ -130,7 +194,7 @@ final class TopKSearcher(
     require(k >= 1)
     val ctx = QueryContext(store, hasher, measure, q)
 
-    final class Cand(val node: SigNode, val masks: Array[Array[Boolean]], val ub: Double)
+    final class Cand(val node: SigNode, val mask: Array[Long], val ub: Double)
 
     // Result: weakest of the current top-k on top, so eviction is O(log k);
     // ties broken by entity id for determinism.
@@ -142,7 +206,8 @@ final class TopKSearcher(
     val cands = new PriorityQueue[Cand](new Comparator[Cand] {
       def compare(a: Cand, b: Cand): Int = java.lang.Double.compare(b.ub, a.ub)
     })
-    cands.add(new Cand(tree.root, ctx.freshMasks(), 1.0))
+    cands.add(new Cand(tree.root, ctx.fullMask(), 1.0))
+    val scratch = new Array[Long](ctx.words)
     var checked = 0
     var visited = 0
 
@@ -169,10 +234,10 @@ final class TopKSearcher(
         }
       } else {
         node.children.valuesIterator.foreach { child =>
-          val masks = ctx.pruneMasks(cand.masks, child, tree.pruneCoords)
-          val ub = math.min(cand.ub, ctx.upperBound(masks))
+          ctx.prune(cand.mask, scratch, child.level, child.topCoords(tree.pruneCoords))
+          val ub = math.min(cand.ub, ctx.bound(scratch))
           if (ub >= kthDegree)
-            cands.add(new Cand(child, masks, ub))
+            cands.add(new Cand(child, scratch.clone(), ub))
         }
       }
     }

@@ -49,6 +49,23 @@ final class TraceStore(val sp: SpIndex, val data: Map[Long, Array[Array[Long]]])
   def levelCells(e: Long, level: Int): Array[Long] = data(e)(level - 1)
 
   def contains(e: Long): Boolean = data.contains(e)
+
+  /** [[TraceSource.degree]] with each entity's per-level arrays read once. */
+  override def degree(measure: Measure, a: Long, b: Long): Double = {
+    val la = data(a)
+    val lb = data(b)
+    val ov = new Array[Int](sp.m)
+    val sa = new Array[Int](sp.m)
+    val sb = new Array[Int](sp.m)
+    var li = 0
+    while (li < sp.m) {
+      ov(li) = Cells.intersectCount(la(li), lb(li))
+      sa(li) = la(li).length
+      sb(li) = lb(li).length
+      li += 1
+    }
+    measure.degree(ov, sa, sb)
+  }
 }
 
 object TraceStore {

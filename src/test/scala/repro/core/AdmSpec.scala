@@ -96,6 +96,19 @@ class AdmSpec extends AnyFunSuite {
     }
   }
 
+  test("ADM at v = 1 is bit-identical to the Math.pow form of Eq. 20") {
+    val rng = new SplittableRandom(8)
+    for (u <- Seq(0.5, 1.0, 2.0); _ <- 0 until cases) {
+      val (ov, sa, sb) = randomStats(rng)
+      val lw = Array.tabulate(m)(l => math.pow(l + 1.0, u))
+      val max = lw.map(_ * math.pow(0.5, 1.0)).sum
+      var s = 0.0
+      for (l <- 0 until m if ov(l) > 0) s += lw(l) * math.pow(ov(l).toDouble / (sa(l) + sb(l)), 1.0)
+      val got = AdmMeasure(m, u, 1.0).degree(ov, sa, sb)
+      assert(java.lang.Double.doubleToRawLongBits(got) == java.lang.Double.doubleToRawLongBits(s / max))
+    }
+  }
+
   test("ADM closed form on a hand example") {
     // m=2, u=1, v=1: d = (1*(o1/(a1+b1)) + 2*(o2/(a2+b2))) / (1*0.5 + 2*0.5)
     val d = AdmMeasure(2, 1, 1)

@@ -14,6 +14,12 @@ class CellsSpec extends SparkSpec {
     }
   }
 
+  test("encode rejects a negative time and unit ids outside [0, 2^24)") {
+    for ((t, u) <- Seq((-1, 0), (Int.MinValue, 5), (0, -1), (3, 1 << 24), (3, Int.MaxValue)))
+      intercept[IllegalArgumentException](Cells.encode(t, u))
+    assert(Cells.unitOf(Cells.encode(Int.MaxValue, (1 << 24) - 1)) == (1 << 24) - 1)
+  }
+
   test("encoding preserves ordering by (t, unit)") {
     assert(Cells.encode(1, 5) < Cells.encode(2, 0))
     assert(Cells.encode(1, 5) < Cells.encode(1, 6))

@@ -141,6 +141,28 @@ class MinSigTreeSpec extends SparkSpec {
     intercept[IllegalArgumentException](tree.insert(0L, sig))
   }
 
+  test("insert rejects a signature of the wrong length") {
+    val (sp, traces, h, tree) = buildRandom(10, 4, 32)
+    val sig = Signatures.computeLocal(traces(0L), sp, h)
+    for (bad <- Seq(sig.dropRight(1), sig ++ sig.take(1), Array.empty[Int]))
+      intercept[IllegalArgumentException](tree.insert(100L, bad))
+    assert(tree.size == traces.size && !tree.entityPath.contains(100L))
+  }
+
+  test("insert and update reject an empty trace's all-Int.MaxValue signature") {
+    val (sp, traces, h, tree) = buildRandom(10, 4, 33)
+    val empty = Signatures.computeLocal(Array.empty[(Int, Int)], sp, h)
+    assert(empty.forall(_ == Int.MaxValue))
+    intercept[IllegalArgumentException](tree.insert(100L, empty))
+    intercept[IllegalArgumentException](tree.update(0L, empty))
+    assert(tree.entityPath.contains(0L) && !tree.entityPath.contains(100L))
+    // One finite coordinate is a valid signature.
+    val oneCell = empty.clone()
+    oneCell(oneCell.length - 1) = 7
+    tree.insert(101L, oneCell)
+    assert(tree.size == traces.size + 1)
+  }
+
   test("fromCells (Spark) builds the same tree as the driver path") {
     import spark.implicits._
     val (sp, traces, h, driverTree) = buildRandom(40, 8, 29)
